@@ -16,9 +16,22 @@ let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
 
+(* Fail closed on an unknown application name: a usage error (exit 2) that
+   lists the known apps, like the other argument checks, rather than an
+   uncaught exception from the suite lookup. Runs while the command line is
+   evaluated, before any work starts. *)
+let known_app app =
+  if not (List.mem app Workloads.Suite.names) then begin
+    Printf.eprintf "unknown application %S (known: %s)\n" app
+      (String.concat ", " Workloads.Suite.names);
+    exit 2
+  end;
+  app
+
 let app_arg =
   let doc = "Application name (see `ltrim list`)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
+  Term.(const known_app
+        $ Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc))
 
 let verbose_flag =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose pipeline logging.")
@@ -938,10 +951,11 @@ let experiments_cmd =
    changed ones, runs without one are cold and just prime the state. *)
 let redebloat_cmd =
   let apps_arg =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"APP"
-             ~doc:"Applications to re-debloat (default: every synthesized \
-                   app).")
+    Term.(const (List.map known_app)
+          $ Arg.(value & pos_all string []
+                 & info [] ~docv:"APP"
+                     ~doc:"Applications to re-debloat (default: every \
+                           synthesized app)."))
   in
   let state_arg =
     Arg.(required & opt (some string) None
@@ -955,16 +969,7 @@ let redebloat_cmd =
     setup_memo memo_dir memo_cap;
     with_trace trace @@ fun () ->
     setup_logs verbose;
-    let known = List.map (fun s -> s.Workloads.Apps.name) Workloads.Apps.all in
-    let apps = if apps = [] then known else apps in
-    List.iter
-      (fun a ->
-         if not (List.mem a known) then begin
-           Printf.eprintf "unknown application %S (known: %s)\n" a
-             (String.concat ", " known);
-           exit 2
-         end)
-      apps;
+    let apps = if apps = [] then Workloads.Suite.names else apps in
     Trim.Journal.mkdir_p state;
     let method_ = Trim.Scoring.method_of_string scoring in
     let job app =

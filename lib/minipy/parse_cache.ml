@@ -132,6 +132,22 @@ let code_hits t = locked t (fun () -> Obs.Metrics.value t.c_code_hits)
 
 let code_misses t = locked t (fun () -> Obs.Metrics.value t.c_code_misses)
 
+(* Store an AST the caller already holds for a vfs-backed file, under the
+   key [parse_vfs] computes for it — the debloater hands over each DD
+   candidate's restricted AST so the candidate's interpreters never re-parse
+   its printed text. Only exact when [prog] is what [Parser.parse] returns
+   for the file's bytes, locations aside (no consumer reads them). Neither a
+   hit nor a miss; an existing entry wins. *)
+let seed_vfs t vfs path prog =
+  if t.enabled then
+    match Vfs.file_digest vfs path with
+    | None ->
+      invalid_arg (Printf.sprintf "Parse_cache.seed_vfs: no such file %S" path)
+    | Some digest ->
+      let key = key ~file:path digest in
+      locked t (fun () ->
+          if not (Hashtbl.mem t.store key) then Hashtbl.add t.store key prog)
+
 let parse ?(cache = global) ~file source =
   find_or_parse cache
     (key ~file (Digest.to_hex (Digest.string source)))

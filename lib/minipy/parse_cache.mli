@@ -44,6 +44,15 @@ val parse : ?cache:t -> file:string -> string -> Ast.program
     @raise Invalid_argument when the path is absent. *)
 val parse_vfs : ?cache:t -> Vfs.t -> string -> Ast.program
 
+(** [seed_vfs t vfs path prog] stores [prog] as the parse of the vfs file
+    [path], under the key {!parse_vfs} computes, so a later [parse_vfs] of
+    that file is a hit. [prog] must equal [Parser.parse] of the file's
+    content up to locations: no consumer of a cached AST reads its
+    locations. An existing entry is kept; the hit/miss counters are
+    untouched; a disabled cache ignores the call.
+    @raise Invalid_argument when the path is absent. *)
+val seed_vfs : t -> Vfs.t -> string -> Ast.program -> unit
+
 (** [key ~file digest] is the store key for a (file, content) pair — exposed
     so the import machinery can address the compiled-code sidecar with the
     same keys the AST store uses. *)

@@ -22,8 +22,9 @@ val create : unit -> t
 
     Domain safety: a frozen base (no further mutation — the invariant above)
     may be read, overlaid, and digested from many domains at once; the
-    lazily-written digest memo is mutex-guarded per layer. A single overlay
-    is still single-writer: only the domain that built it may mutate it. *)
+    lazily-written digest and summary memos are mutex-guarded per layer. A
+    single overlay is still single-writer: only the domain that built it may
+    mutate it. *)
 val overlay : t -> t
 
 val is_overlay : t -> bool
@@ -47,6 +48,14 @@ val exists : t -> string -> bool
 (** A deep copy sharing no mutable state; overlay chains are flattened. *)
 val copy : t -> t
 
+(** {1 Whole-image views}
+
+    [paths], [file_count], [image_bytes] and [image_digest] are memoized per
+    layer and dropped by that layer's own [add_file]/[remove_file]/
+    [add_phantom]. An overlay whose delta only rewrites files its base
+    already has derives them from the base's memo in O(delta) table work;
+    any other delta rebuilds them from the merged view. *)
+
 (** Source paths, sorted (phantoms excluded). *)
 val paths : t -> string list
 
@@ -60,11 +69,14 @@ val image_mb : t -> float
 (** Source paths under a directory prefix. *)
 val files_under : t -> string -> string list
 
+(** {1 Content addressing} *)
+
 (** Hex content digest of one file, memoized per owning layer and invalidated
     when the file is rewritten. [None] when the path is absent. *)
 val file_digest : t -> string -> string option
 
 (** Content address of the whole effective image: every (path, file digest)
     pair plus every phantom entry. Two images with identical effective
-    contents have equal digests regardless of overlay structure. *)
+    contents have equal digests regardless of overlay structure. Memoized
+    per layer like the whole-image views above. *)
 val image_digest : t -> string

@@ -79,13 +79,22 @@ let restrict (prog : Minipy.Ast.program) ~keep : Minipy.Ast.program =
        | Assert _ -> Some stmt)
     prog
 
+(* A rewritten module's AST next to its printed text, with the AST being
+   what parsing the text gives: printing round-trips (Pretty) except that
+   the empty program prints as "pass", which parses back to [pass]. The
+   debloater seeds the parse cache with this AST instead of having every
+   candidate interpreter re-parse the text. *)
+let printed (prog : Minipy.Ast.program) =
+  match prog with
+  | [] -> ([ Minipy.Ast.s Minipy.Ast.Pass ], Minipy.Pretty.program_to_string [])
+  | _ -> (prog, Minipy.Pretty.program_to_string prog)
+
 (* Parse a module file, restrict it, and print it back — the per-iteration
    rewrite step of §6.3 ("a single traversal of the AST"). DD rewrites the
    same source hundreds of times with different keep-sets; the parse cache
    answers every parse after the first. *)
 let rewrite_source ~file source ~keep =
-  let prog = Minipy.Parse_cache.parse ~file source in
-  Minipy.Pretty.program_to_string (restrict prog ~keep)
+  printed (restrict (Minipy.Parse_cache.parse ~file source) ~keep)
 
 (* --- statement granularity (§6.1 comparison) ------------------------------
 
@@ -113,3 +122,7 @@ let restrict_statements (prog : Minipy.Ast.program) ~keep : Minipy.Ast.program =
        | [] -> true
        | names -> List.for_all is_magic names || List.mem i keep)
     prog
+
+(* [rewrite_source] at statement granularity. *)
+let rewrite_source_statements ~file source ~keep =
+  printed (restrict_statements (Minipy.Parse_cache.parse ~file source) ~keep)

@@ -26,8 +26,11 @@ val attrs_of_program : Minipy.Ast.program -> string list
 val restrict : Minipy.Ast.program -> keep:String_set.t -> Minipy.Ast.program
 
 (** Parse, restrict, and print back a module file — the per-iteration rewrite
-    of §6.3. *)
-val rewrite_source : file:string -> string -> keep:String_set.t -> string
+    of §6.3. Returns the restricted AST and its printed text; the AST equals
+    [Parser.parse] of the text up to locations (printing round-trips, and a
+    module left empty comes back as [pass], as its text parses). *)
+val rewrite_source :
+  file:string -> string -> keep:String_set.t -> Minipy.Ast.program * string
 
 (** {1 Statement granularity (the §6.1 ablation)} *)
 
@@ -38,3 +41,8 @@ val statement_components : Minipy.Ast.program -> int list
     magic-only statement. *)
 val restrict_statements :
   Minipy.Ast.program -> keep:int list -> Minipy.Ast.program
+
+(** {!rewrite_source} at statement granularity: {!restrict_statements}, then
+    print. *)
+val rewrite_source_statements :
+  file:string -> string -> keep:int list -> Minipy.Ast.program * string

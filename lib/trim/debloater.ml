@@ -45,17 +45,25 @@ let empty_result module_name =
     oracle_queries = 0; cache_hits = 0; dd_iterations = 0;
     oracle_cache_hits = 0; oracle_cache_misses = 0 }
 
-(* Rewrite [file] inside a copy-on-write overlay of [d] keeping exactly
-   [keep]: the candidate image shares every other file with the base. *)
-let with_restricted (d : Platform.Deployment.t) ~file ~keep =
+(* Rewrite [file] inside a copy-on-write overlay of [d]: the candidate
+   image shares every other file with the base. [rewrite] maps the file's
+   source to the rewritten AST and its printed text; the text goes into the
+   image, the AST into the parse cache under the text's key, so the
+   candidate's interpreters import it without re-parsing. Every candidate
+   builder (DD queries, final keep-sets, replays, merges) goes through
+   here. *)
+let with_rewrite (d : Platform.Deployment.t) ~file rewrite =
   let d' = Platform.Deployment.overlay d in
-  let source = Minipy.Vfs.read_exn d'.Platform.Deployment.vfs file in
-  let keep_set =
-    List.fold_left (fun s n -> Attrs.String_set.add n s) Attrs.String_set.empty keep
-  in
-  let rewritten = Attrs.rewrite_source ~file source ~keep:keep_set in
-  Minipy.Vfs.add_file d'.Platform.Deployment.vfs file rewritten;
+  let vfs = d'.Platform.Deployment.vfs in
+  let prog, text = rewrite (Minipy.Vfs.read_exn vfs file) in
+  Minipy.Vfs.add_file vfs file text;
+  Minipy.Parse_cache.seed_vfs Minipy.Parse_cache.global vfs file prog;
   d'
+
+(* The candidate keeping exactly the attributes [keep] of [file]. *)
+let with_restricted d ~file ~keep =
+  with_rewrite d ~file
+    (Attrs.rewrite_source ~file ~keep:(Attrs.String_set.of_list keep))
 
 (* DD has no virtual timeline — its spans run on the host wall clock
    (Obs.Span.wall_ms, shared with the pipeline). Sequentially they share
@@ -270,15 +278,8 @@ let apply_result (d : Platform.Deployment.t) (r : module_result) =
 
 (* --- statement-granularity variant (§6.1 ablation) ------------------------ *)
 
-let with_restricted_statements (d : Platform.Deployment.t) ~file ~keep =
-  let d' = Platform.Deployment.overlay d in
-  let source = Minipy.Vfs.read_exn d'.Platform.Deployment.vfs file in
-  let prog = Minipy.Parse_cache.parse ~file source in
-  let rewritten =
-    Minipy.Pretty.program_to_string (Attrs.restrict_statements prog ~keep)
-  in
-  Minipy.Vfs.add_file d'.Platform.Deployment.vfs file rewritten;
-  d'
+let with_restricted_statements d ~file ~keep =
+  with_rewrite d ~file (Attrs.rewrite_source_statements ~file ~keep)
 
 (* DD over whole statements instead of attributes. Statements binding a
    PyCG-protected name are excluded from the candidate list. *)
