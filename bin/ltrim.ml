@@ -36,13 +36,37 @@ let app_arg =
 let verbose_flag =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose pipeline logging.")
 
+(* A negative K would silently debloat nothing; 0 (profile and rank only)
+   stays valid. Checked while the command line is evaluated, like
+   [known_app]. *)
+let nonneg_k k =
+  if k < 0 then begin
+    Printf.eprintf "-k must be >= 0 (got %d)\n" k;
+    exit 2
+  end;
+  k
+
 let k_arg =
-  Arg.(value & opt int 20 & info [ "k" ] ~docv:"K"
-         ~doc:"Number of top-ranked modules to debloat (default 20).")
+  Term.(const nonneg_k
+        $ Arg.(value & opt int 20 & info [ "k" ] ~docv:"K"
+                 ~doc:"Number of top-ranked modules to debloat (default 20)."))
+
+let scoring_conv =
+  let parse s =
+    match Trim.Scoring.method_of_string s with
+    | m -> Ok m
+    | exception Invalid_argument _ ->
+      Error (`Msg (Printf.sprintf
+                     "unknown scoring method %S (expected combined, time, \
+                      memory, or random)" s))
+  in
+  let print ppf m = Format.pp_print_string ppf (Trim.Scoring.method_name m) in
+  Arg.conv (parse, print)
 
 let scoring_arg =
   let doc = "Scoring method: combined, time, memory, or random." in
-  Arg.(value & opt string "combined" & info [ "s"; "scoring" ] ~docv:"METHOD" ~doc)
+  Arg.(value & opt scoring_conv Trim.Scoring.Combined
+       & info [ "s"; "scoring" ] ~docv:"METHOD" ~doc)
 
 let trace_arg =
   Arg.(value & opt (some string) None
@@ -74,27 +98,6 @@ let setup_shards shards =
     exit 2
   end;
   Fleet.Sharded.default_shards := shards
-
-let backend_conv =
-  let parse s =
-    match Minipy.Backend.of_string s with
-    | Some c -> Ok c
-    | None ->
-      Error (`Msg (Printf.sprintf
-                     "unknown backend %S (expected treewalk, vm, or compare)" s))
-  in
-  let print ppf c = Format.pp_print_string ppf (Minipy.Backend.to_string c) in
-  Arg.conv (parse, print)
-
-let backend_arg =
-  Arg.(value & opt backend_conv Minipy.Backend.Treewalk
-       & info [ "backend" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,treewalk) (the reference evaluator), \
-                 $(b,vm) (bytecode compiler + stack VM), or $(b,compare) \
-                 (run both and fail on any divergence). Virtual-time and \
-                 byte-ledger measurements are backend-invariant: committed \
-                 results are bit-identical across engines, only wall-clock \
-                 columns change.")
 
 let optimizer_conv =
   let parse s =
@@ -207,11 +210,8 @@ let load_baseline = function
          "baseline %s is missing or invalid; running cold\n%!" path;
        None)
 
-(* Install the process-wide execution engine every interpreter construction
-   reads. Call before any work, like [setup_jobs]. *)
-let setup_backend backend = Minipy.Backend.configure backend
-
-(* Install the process-wide optimizer family, next to [setup_backend]. *)
+(* Install the process-wide optimizer family. Call before any work, like
+   [setup_jobs]. *)
 let setup_optimizer optimizer = Trim.Optimizer.configure optimizer
 
 (* Install the process-wide pool the pipeline and the experiment registry
@@ -300,9 +300,7 @@ let analyze_cmd =
 (* --- profile ------------------------------------------------------------- *)
 
 let profile_cmd =
-  let run app scoring backend =
-    setup_backend backend;
-    let method_ = Trim.Scoring.method_of_string scoring in
+  let run app method_ =
     let d = Workloads.Suite.deployment_of app in
     let p = Trim.Profiler.profile d in
     Printf.printf "Function Initialization: T = %.2f ms, M = %.2f MB\n\n"
@@ -319,15 +317,14 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Profile per-module marginal import time/memory and rank them.")
-    Term.(const run $ app_arg $ scoring_arg $ backend_arg)
+    Term.(const run $ app_arg $ scoring_arg)
 
 (* --- debloat ------------------------------------------------------------- *)
 
 let debloat_cmd =
-  let run app k scoring verbose jobs trace backend optimizer journal resume
+  let run app k method_ verbose jobs trace optimizer journal resume
       oracle_retries quarantine_report memo_dir memo_cap baseline_path
       manifest_path =
-    setup_backend backend;
     setup_optimizer optimizer;
     setup_jobs jobs;
     setup_memo memo_dir memo_cap;
@@ -339,7 +336,6 @@ let debloat_cmd =
     with_chaos @@ fun () ->
     with_trace trace @@ fun () ->
     setup_logs verbose;
-    let method_ = Trim.Scoring.method_of_string scoring in
     let baseline = load_baseline baseline_path in
     let d = Workloads.Suite.deployment_of app in
     let o =
@@ -394,7 +390,7 @@ let debloat_cmd =
        ~doc:"Optimize an application: run the selected $(b,--optimizer) \
              family (λ-trim DD debloating by default).")
     Term.(const run $ app_arg $ k_arg $ scoring_arg $ verbose_flag $ jobs_arg
-          $ trace_arg $ backend_arg $ optimizer_arg $ journal_arg
+          $ trace_arg $ optimizer_arg $ journal_arg
           $ resume_flag $ oracle_retries_arg $ quarantine_report_arg
           $ memo_dir_arg $ memo_cap_arg $ baseline_arg $ manifest_arg)
 
@@ -404,17 +400,6 @@ let invoke_cmd =
   let trimmed_flag =
     Arg.(value & flag & info [ "trimmed" ]
            ~doc:"Invoke the optimized application (per $(b,--optimizer)).")
-  in
-  (* the strict canonicalization compare mode diffs: every float exact *)
-  let record_strict (r : Platform.Lambda_sim.record) =
-    Printf.sprintf
-      "%s init=%.17g exec=%.17g e2e=%.17g billed=%.17g mem=%.17g cost=%.17g \
-       out=%S"
-      (Platform.Lambda_sim.start_kind_name r.Platform.Lambda_sim.kind)
-      r.Platform.Lambda_sim.init_ms r.Platform.Lambda_sim.exec_ms
-      r.Platform.Lambda_sim.e2e_ms r.Platform.Lambda_sim.billed_ms
-      r.Platform.Lambda_sim.peak_memory_mb r.Platform.Lambda_sim.cost
-      r.Platform.Lambda_sim.stdout
   in
   let print_record (r : Platform.Lambda_sim.record) =
     Printf.printf
@@ -426,8 +411,7 @@ let invoke_cmd =
       r.Platform.Lambda_sim.peak_memory_mb r.Platform.Lambda_sim.cost;
     print_string r.Platform.Lambda_sim.stdout
   in
-  let run app trimmed jobs trace backend optimizer =
-    setup_backend backend;
+  let run app trimmed jobs trace optimizer =
     setup_optimizer optimizer;
     setup_jobs jobs;
     with_trace trace @@ fun () ->
@@ -441,40 +425,14 @@ let invoke_cmd =
     let event =
       match spec.Workloads.Apps.tests with (_, e) :: _ -> e | [] -> "{}"
     in
-    let measure choice =
-      let sim = Platform.Lambda_sim.create ~backend:choice d in
-      Platform.Lambda_sim.measure_cold_and_warm ~event sim
-    in
-    match backend with
-    | Minipy.Backend.Compare ->
-      let tw_cold, tw_warm = measure Minipy.Backend.Treewalk in
-      let vm_cold, vm_warm = measure Minipy.Backend.Vm in
-      let diffs =
-        List.filter_map
-          (fun (phase, tw, vm) ->
-             let tws = record_strict tw and vms = record_strict vm in
-             if String.equal tws vms then None
-             else Some (Printf.sprintf "%s:\n  treewalk: %s\n  vm:       %s"
-                          phase tws vms))
-          [ ("cold", tw_cold, vm_cold); ("warm", tw_warm, vm_warm) ]
-      in
-      if diffs = [] then begin
-        List.iter print_record [ tw_cold; tw_warm ];
-        Printf.printf "compare: cold and warm records identical across engines\n"
-      end
-      else begin
-        Printf.eprintf "compare: engines diverge on %s\n%s\n" app
-          (String.concat "\n" diffs);
-        exit 1
-      end
-    | _ ->
-      let cold, warm = measure backend in
-      List.iter print_record [ cold; warm ]
+    let sim = Platform.Lambda_sim.create d in
+    let cold, warm = Platform.Lambda_sim.measure_cold_and_warm ~event sim in
+    List.iter print_record [ cold; warm ]
   in
   Cmd.v
     (Cmd.info "invoke" ~doc:"Invoke an application on the platform simulator.")
     Term.(const run $ app_arg $ trimmed_flag $ jobs_arg $ trace_arg
-          $ backend_arg $ optimizer_arg)
+          $ optimizer_arg)
 
 (* --- fleet ---------------------------------------------------------------- *)
 
@@ -590,9 +548,7 @@ let fleet_cmd =
   let run app rate duration policy keep_alive max_idle capacity max_pending
       timeout fb_rate seed init_failure_rate crash_rate error_rate churn_rate
       retries retry_base retry_cap request_timeout breaker_threshold
-      breaker_window breaker_cooldown hedge_delay tenants shards jobs trace
-      backend =
-    setup_backend backend;
+      breaker_window breaker_cooldown hedge_delay tenants shards jobs trace =
     setup_jobs jobs;
     setup_shards shards;
     with_trace trace @@ fun () ->
@@ -795,7 +751,7 @@ let fleet_cmd =
           $ crash_arg $ error_arg $ churn_arg $ retries_arg $ retry_base_arg
           $ retry_cap_arg $ request_timeout_arg $ breaker_threshold_arg
           $ breaker_window_arg $ breaker_cooldown_arg $ hedge_delay_arg
-          $ tenants_arg $ shards_arg $ jobs_arg $ trace_arg $ backend_arg)
+          $ tenants_arg $ shards_arg $ jobs_arg $ trace_arg)
 
 (* --- calibrate ------------------------------------------------------------ *)
 
@@ -864,9 +820,8 @@ let experiments_cmd =
              ~doc:"Write machine-readable rows to DIR/<id>.csv (experiments \
                    with structured data only).")
   in
-  let run only out csv shards jobs trace backend optimizer journal resume
-      memo_dir memo_cap =
-    setup_backend backend;
+  let run only out csv shards jobs trace optimizer journal resume memo_dir
+      memo_cap =
     (* committed experiments that exercise the oracle memo create private
        caches; attaching a store to the global memo only accelerates
        wall-clock, so committed CSVs stay byte-identical either way *)
@@ -941,8 +896,8 @@ let experiments_cmd =
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures on the simulator.")
     Term.(const run $ only_arg $ out_arg $ csv_arg $ shards_arg $ jobs_arg
-          $ trace_arg $ backend_arg $ optimizer_arg $ journal_arg
-          $ resume_flag $ memo_dir_arg $ memo_cap_arg)
+          $ trace_arg $ optimizer_arg $ journal_arg $ resume_flag
+          $ memo_dir_arg $ memo_cap_arg)
 
 (* --- redebloat ------------------------------------------------------------ *)
 
@@ -963,15 +918,13 @@ let redebloat_cmd =
              ~doc:"Manifest directory: <DIR>/<app>.manifest is read as the \
                    baseline (when present) and rewritten after each run.")
   in
-  let run apps state k scoring verbose jobs trace backend memo_dir memo_cap =
-    setup_backend backend;
+  let run apps state k method_ verbose jobs trace memo_dir memo_cap =
     setup_jobs jobs;
     setup_memo memo_dir memo_cap;
     with_trace trace @@ fun () ->
     setup_logs verbose;
     let apps = if apps = [] then Workloads.Suite.names else apps in
     Trim.Journal.mkdir_p state;
-    let method_ = Trim.Scoring.method_of_string scoring in
     let job app =
       let path = Filename.concat state (app ^ ".manifest") in
       let baseline = Trim.Manifest.load ~path in
@@ -1015,8 +968,7 @@ let redebloat_cmd =
              kept under $(b,--state), fanning the apps out over the worker \
              pool.")
     Term.(const run $ apps_arg $ state_arg $ k_arg $ scoring_arg
-          $ verbose_flag $ jobs_arg $ trace_arg $ backend_arg $ memo_dir_arg
-          $ memo_cap_arg)
+          $ verbose_flag $ jobs_arg $ trace_arg $ memo_dir_arg $ memo_cap_arg)
 
 let main =
   Cmd.group
@@ -1025,4 +977,28 @@ let main =
     [ list_cmd; analyze_cmd; profile_cmd; debloat_cmd; invoke_cmd; fleet_cmd;
       calibrate_cmd; experiments_cmd; redebloat_cmd ]
 
-let () = exit (Cmd.eval main)
+(* An unwritable durable-state or output path (--memo-dir, --journal,
+   --manifest, --trace, --out, ...) is an I/O failure, reported once here
+   as one line naming the path and the reason, with exit 1. Anything else
+   escaping a command is a bug and keeps cmdliner's internal-error exit. *)
+let rec io_failure = function
+  | Unix.Unix_error (err, fn, path) ->
+    Some (Printf.sprintf "%s: %s (%s)" path (Unix.error_message err) fn)
+  | Sys_error msg -> Some msg
+  | Fun.Finally_raised e -> io_failure e
+  | _ -> None
+
+let () =
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (match io_failure e with
+     | Some msg ->
+       Printf.eprintf "ltrim: %s\n%!" msg;
+       exit 1
+     | None ->
+       Printf.eprintf "ltrim: internal error, uncaught exception:\n%s\n%s%!"
+         (Printexc.to_string e)
+         (Printexc.raw_backtrace_to_string bt);
+       exit Cmd.Exit.internal_error)

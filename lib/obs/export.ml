@@ -157,15 +157,19 @@ let metrics_csv registry =
 
 (* Write-temp-then-rename in the destination directory: a crash mid-export
    never leaves a torn trace on disk. (Same idiom as Trim.Journal's atomic
-   writes — duplicated here because obs sits below trim.) *)
+   writes — duplicated here because obs sits below trim.) A failure names
+   [path], not just the temporary file it surfaced on. *)
 let to_file ~path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".obs-export" ".tmp" in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-         output_string oc contents)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  try
+    let dir = Filename.dirname path in
+    let tmp = Filename.temp_file ~temp_dir:dir ".obs-export" ".tmp" in
+    (try
+       let oc = open_out_bin tmp in
+       Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+           output_string oc contents)
+     with e ->
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
+    Sys.rename tmp path
+  with Sys_error msg ->
+    raise (Sys_error (Printf.sprintf "cannot write %s: %s" path msg))

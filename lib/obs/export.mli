@@ -17,4 +17,6 @@ val summary_csv : Span.sink -> string
 (** Registry snapshot: [name,kind,count_or_value,sum,min,max]. *)
 val metrics_csv : Metrics.registry -> string
 
+(** Atomic write-temp-then-rename of [contents] to [path].
+    @raise Sys_error naming [path] when it cannot be written. *)
 val to_file : path:string -> string -> unit

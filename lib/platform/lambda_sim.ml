@@ -64,17 +64,13 @@ type t = {
   obs : bool;   (* emit Fig.-1 phase spans on the installed tracer; the
                    oracle's probe sims turn this off to keep DD's thousands
                    of runs out of the trace *)
-  backend : Minipy.Backend.choice;  (* engine for this sim's interpreters *)
   mutable live : instance option;   (* single-concurrency pool *)
   mutable records : record list;    (* newest first *)
 }
 
 let create ?(pricing = Pricing.aws) ?(params = default_params) ?(obs = true)
-    ?backend deployment =
-  let backend =
-    match backend with Some b -> b | None -> Minipy.Backend.current ()
-  in
-  { deployment; pricing; params; obs; backend; live = None; records = [] }
+    deployment =
+  { deployment; pricing; params; obs; live = None; records = [] }
 
 let eval_expr interp src =
   (* test-case events repeat across thousands of oracle invocations; the
@@ -94,7 +90,7 @@ let eval_expr interp src =
 let initialize ?(sink = Obs.Span.null) ?(track = 0) ?(at_ms = 0.0) t :
     instance * float =
   let interp =
-    Minipy.Backend.create ~choice:t.backend ~max_steps:t.params.max_steps
+    Minipy.Interp.create ~max_steps:t.params.max_steps
       t.deployment.Deployment.vfs
   in
   interp.Minipy.Interp.obs_sink <- sink;
@@ -142,7 +138,7 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
          (Cold, inst, t.params.instance_init_ms, trans_ms, init_ms, None)
        | exception Minipy.Value.Py_error e ->
          let interp =
-           Minipy.Backend.create ~choice:t.backend ~max_steps:t.params.max_steps
+           Minipy.Interp.create ~max_steps:t.params.max_steps
              t.deployment.Deployment.vfs
          in
          let inst =

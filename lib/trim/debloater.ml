@@ -136,7 +136,7 @@ let dd_minimize ?on_step ?pool ?journal ~oracle candidates =
    the verdict stream depends on: the *base* deployment image this module
    is searched against (which differs between sequential and parallel
    pipeline folds — hence resume requires the same --jobs), the module,
-   its candidate/protected split, and the execution backend. A journal
+   its candidate/protected split, and the engine name. A journal
    whose digest mismatches is discarded, never replayed: revision safety
    over resume speed. *)
 

@@ -1,12 +1,12 @@
 (* Profile-guided lazy loading (ARCHITECTURE §14): manifest parsing, stub
-   forcing semantics on both execution backends, the lazy ≡ eager
+   forcing semantics, the lazy ≡ eager
    observational-equivalence property, optimizer-variant separation of the
    oracle memo and DD journal digests, the fleet lazy-init model with
    idle-time preloading, and the sketch NaN regression. *)
 
 open Minipy
 
-(* --- program runner (mirrors test_backend_diff) -------------------------- *)
+(* --- program runner ------------------------------------------------------- *)
 
 type snapshot = {
   sn_out : string;
@@ -15,9 +15,9 @@ type snapshot = {
   sn_steps : int;
 }
 
-let run_program ~choice ~vfs src =
+let run_program ~vfs src =
   let prog = Parser.parse ~file:"<lazy>" src in
-  let t = Backend.create ~choice ~max_steps:500_000 vfs in
+  let t = Interp.create ~max_steps:500_000 vfs in
   let out =
     match Interp.exec_main t prog with
     | _ -> "OK:" ^ Interp.stdout_contents t
@@ -42,10 +42,6 @@ let check_equiv name eager lazy_ =
     Alcotest.failf "%s: vtime %.17g (eager) vs %.17g (lazy)" name
       eager.sn_vtime lazy_.sn_vtime
 
-let strict s =
-  Printf.sprintf "%s | vtime=%.17g heap=%d steps=%d" s.sn_out s.sn_vtime
-    s.sn_heap s.sn_steps
-
 (* Library fixture: a heavy root module, a package chain for dotted
    imports, and a circular pair. [lazify] adds the manifest overlay. *)
 let lib_vfs ?(manifest = "") () =
@@ -69,18 +65,9 @@ let lib_vfs ?(manifest = "") () =
   if manifest <> "" then Vfs.add_file vfs Interp.lazy_manifest_file manifest;
   vfs
 
-let both_backends name f =
-  List.map
-    (fun choice ->
-       Alcotest.test_case
-         (Printf.sprintf "%s [%s]" name (Backend.to_string choice))
-         `Quick
-         (fun () -> f choice))
-    [ Backend.Treewalk; Backend.Vm ]
-
-let eager_vs_lazy ~choice ~manifest name src =
-  let eager = run_program ~choice ~vfs:(lib_vfs ()) src in
-  let lazy_ = run_program ~choice ~vfs:(lib_vfs ~manifest ()) src in
+let eager_vs_lazy ~manifest name src =
+  let eager = run_program ~vfs:(lib_vfs ()) src in
+  let lazy_ = run_program ~vfs:(lib_vfs ~manifest ()) src in
   check_equiv name eager lazy_;
   (eager, lazy_)
 
@@ -119,66 +106,52 @@ let manifest_tests =
         Alcotest.(check bool) "distinct manifests, distinct configs" false
           (String.equal l1 l2)) ]
 
-(* --- stub semantics (both backends) -------------------------------------- *)
+(* --- stub semantics ------------------------------------------------------- *)
 
 let touch_program =
   "import heavy\nprint('pre', 1)\nprint(heavy.f(5))\nprint(heavy.value)\n"
 
 let stub_tests =
-  both_backends "touched root: lazy equals eager" (fun choice ->
-      ignore
-        (eager_vs_lazy ~choice ~manifest:"lazy heavy\n" "touched"
-           touch_program))
-  @ both_backends "untouched root: init deferred, never paid" (fun choice ->
+  let case name f = Alcotest.test_case name `Quick f in
+  [ case "touched root: lazy equals eager" (fun () ->
+        ignore
+          (eager_vs_lazy ~manifest:"lazy heavy\n" "touched" touch_program));
+    case "untouched root: init deferred, never paid" (fun () ->
         let src = "import heavy\nprint('only', 2)\n" in
-        let eager = run_program ~choice ~vfs:(lib_vfs ()) src in
+        let eager = run_program ~vfs:(lib_vfs ()) src in
         let lazy_ =
-          run_program ~choice ~vfs:(lib_vfs ~manifest:"lazy heavy\n" ()) src
+          run_program ~vfs:(lib_vfs ~manifest:"lazy heavy\n" ()) src
         in
         Alcotest.(check string) "observable" eager.sn_out lazy_.sn_out;
         Alcotest.(check bool) "cheaper vtime" true
           (lazy_.sn_vtime < eager.sn_vtime);
         Alcotest.(check bool) "fewer steps" true
-          (lazy_.sn_steps < eager.sn_steps))
-  @ both_backends "dotted import binds stub chain" (fun choice ->
+          (lazy_.sn_steps < eager.sn_steps));
+    case "dotted import binds stub chain" (fun () ->
         ignore
-          (eager_vs_lazy ~choice ~manifest:"lazy pkg\n" "dotted"
+          (eager_vs_lazy ~manifest:"lazy pkg\n" "dotted"
              "import pkg.sub.leaf\n\
               print(pkg.tag)\n\
               print(pkg.sub.tag)\n\
               print(pkg.sub.leaf.g(4))\n\
-              print(pkg.sub.leaf.name)\n"))
-  @ both_backends "circular imports match eager partial-init" (fun choice ->
+              print(pkg.sub.leaf.name)\n"));
+    case "circular imports match eager partial-init" (fun () ->
         ignore
-          (eager_vs_lazy ~choice ~manifest:"lazy cyc_a\nlazy cyc_b\n"
-             "circular" "import cyc_a\nprint(cyc_a.probe())\n"))
-  @ both_backends "from-import forces the stub" (fun choice ->
+          (eager_vs_lazy ~manifest:"lazy cyc_a\nlazy cyc_b\n" "circular"
+             "import cyc_a\nprint(cyc_a.probe())\n"));
+    case "from-import forces the stub" (fun () ->
         ignore
-          (eager_vs_lazy ~choice ~manifest:"lazy heavy\n" "from-import"
-             "import heavy\nfrom heavy import f\nprint(f(1))\n"))
-  @ both_backends "setattr forces before rebinding" (fun choice ->
+          (eager_vs_lazy ~manifest:"lazy heavy\n" "from-import"
+             "import heavy\nfrom heavy import f\nprint(f(1))\n"));
+    case "setattr forces before rebinding" (fun () ->
         ignore
-          (eager_vs_lazy ~choice ~manifest:"lazy heavy\n" "setattr"
-             "import heavy\nheavy.value = 7\nprint(heavy.f(0))\n"))
-  @ both_backends "preload lines never change semantics" (fun choice ->
+          (eager_vs_lazy ~manifest:"lazy heavy\n" "setattr"
+             "import heavy\nheavy.value = 7\nprint(heavy.f(0))\n"));
+    case "preload lines never change semantics" (fun () ->
         let m = "lazy heavy\npreload heavy\n" in
-        ignore (eager_vs_lazy ~choice ~manifest:m "preload" touch_program))
-  @ [ Alcotest.test_case "lazy runs identically on both engines (strict)"
-        `Quick (fun () ->
-          let m = "lazy heavy\nlazy pkg\n" in
-          let src =
-            touch_program ^ "import pkg.sub.leaf\nprint(pkg.sub.leaf.g(3))\n"
-          in
-          let tw =
-            run_program ~choice:Backend.Treewalk ~vfs:(lib_vfs ~manifest:m ())
-              src
-          in
-          let vm =
-            run_program ~choice:Backend.Vm ~vfs:(lib_vfs ~manifest:m ()) src
-          in
-          Alcotest.(check string) "strict %.17g" (strict tw) (strict vm)) ]
+        ignore (eager_vs_lazy ~manifest:m "preload" touch_program)) ]
 
-(* --- QCheck: lazy ≡ eager across both backends --------------------------- *)
+(* --- QCheck: lazy ≡ eager -------------------------------------------------- *)
 
 (* Random library of side-effect-free modules plus a main program that
    imports all of them and touches a random subset; every module is also
@@ -231,34 +204,19 @@ let build_case ?(lazify = true) (bodies, touches) =
   (vfs, Buffer.contents b)
 
 let prop_lazy_equiv =
-  QCheck2.Test.make ~name:"lazy ≡ eager on both backends (fully forced)"
-    ~count:60 gen_case (fun case ->
-      List.for_all
-        (fun choice ->
-           let vfs_e, src = build_case ~lazify:false case in
-           let vfs_l, _ = build_case case in
-           let eager = run_program ~choice ~vfs:vfs_e src in
-           let lazy_ = run_program ~choice ~vfs:vfs_l src in
-           let tol = 1e-9 *. Float.max 1.0 (Float.abs eager.sn_vtime) in
-           String.equal eager.sn_out lazy_.sn_out
-           && eager.sn_heap = lazy_.sn_heap
-           && eager.sn_steps = lazy_.sn_steps
-           && Float.abs (eager.sn_vtime -. lazy_.sn_vtime) <= tol)
-        [ Backend.Treewalk; Backend.Vm ])
+  QCheck2.Test.make ~name:"lazy ≡ eager (fully forced)" ~count:60 gen_case
+    (fun case ->
+      let vfs_e, src = build_case ~lazify:false case in
+      let vfs_l, _ = build_case case in
+      let eager = run_program ~vfs:vfs_e src in
+      let lazy_ = run_program ~vfs:vfs_l src in
+      let tol = 1e-9 *. Float.max 1.0 (Float.abs eager.sn_vtime) in
+      String.equal eager.sn_out lazy_.sn_out
+      && eager.sn_heap = lazy_.sn_heap
+      && eager.sn_steps = lazy_.sn_steps
+      && Float.abs (eager.sn_vtime -. lazy_.sn_vtime) <= tol)
 
-let prop_lazy_backends_strict =
-  QCheck2.Test.make
-    ~name:"lazy treewalk ≡ lazy vm (strict %.17g accounting)" ~count:60
-    gen_case (fun case ->
-      let vfs_tw, src = build_case case in
-      let vfs_vm, _ = build_case case in
-      String.equal
-        (strict (run_program ~choice:Backend.Treewalk ~vfs:vfs_tw src))
-        (strict (run_program ~choice:Backend.Vm ~vfs:vfs_vm src)))
-
-let property_tests =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_lazy_equiv; prop_lazy_backends_strict ]
+let property_tests = List.map QCheck_alcotest.to_alcotest [ prop_lazy_equiv ]
 
 (* --- optimizer: lazy loader + variant dispatch --------------------------- *)
 

@@ -47,6 +47,27 @@ let observations =
         Minipy.Vfs.add_file trimmed.Platform.Deployment.vfs path
           (String.concat "\n" kept);
         Alcotest.(check bool) "passes" true (oracle trimmed));
+    Alcotest.test_case "an exhausted step budget is CRASH:timeout" `Quick
+      (fun () ->
+        let outputs max_steps =
+          let params =
+            { Platform.Lambda_sim.default_params with max_steps }
+          in
+          List.map snd
+            (Oracle.observe ~cache:(Oracle.Cache.create ()) ~params tiny)
+              .Oracle.per_test
+        in
+        List.iter
+          (fun max_steps ->
+             List.iter
+               (Alcotest.(check string)
+                  (Printf.sprintf "timeout at %d steps" max_steps)
+                  "CRASH:timeout")
+               (outputs max_steps))
+          [ 1; 5; 10 ];
+        Alcotest.(check bool) "completes at the default budget" false
+          (List.mem "CRASH:timeout"
+             (outputs Minipy.Interp.default_max_steps)));
     Alcotest.test_case "init crash observed as an error" `Quick (fun () ->
         let broken = Platform.Deployment.copy tiny in
         Minipy.Vfs.add_file broken.Platform.Deployment.vfs
