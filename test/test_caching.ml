@@ -120,7 +120,25 @@ let parse_cache_cases =
         let c = Parse_cache.create () in
         (try ignore (Parse_cache.parse ~cache:c ~file:"<t>" "def (:\n")
          with Parser.Error _ | Lexer.Error _ -> ());
-        Alcotest.(check int) "store empty" 0 (Parse_cache.size c)) ]
+        Alcotest.(check int) "store empty" 0 (Parse_cache.size c));
+    Alcotest.test_case "an imported module parses once across interpreters"
+      `Quick (fun () ->
+        let c = Parse_cache.create () in
+        let run () =
+          let vfs = Vfs.create () in
+          Vfs.add_file vfs "mylib.py" "VERSION = 3\ndef helper(x):\n  return x\n";
+          let t = Interp.create ~parse_cache:c vfs in
+          ignore
+            (Interp.exec_main t
+               (Parser.parse ~file:"<main>"
+                  "import mylib\nprint(mylib.VERSION)\n"));
+          Interp.stdout_contents t
+        in
+        Alcotest.(check string) "first run" "3\n" (run ());
+        Alcotest.(check string) "second run" "3\n" (run ());
+        Alcotest.(check int) "one parse of mylib" 1 (Parse_cache.misses c);
+        Alcotest.(check int) "reused on the second import" 1
+          (Parse_cache.hits c)) ]
 
 (* --- property: overlay rewrites always force a re-parse ------------------- *)
 

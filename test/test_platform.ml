@@ -103,6 +103,58 @@ let init_crash =
         Alcotest.(check string) "cold again" "cold"
           (Lambda_sim.start_kind_name r2.Lambda_sim.kind)) ]
 
+(* A library with simrt init charges and a handler that loops: its cold and
+   warm records, printed with %.17g, are pinned to literal snapshots so any
+   drift in the evaluator's or the simulator's accounting shows up here. *)
+let numlib_deployment () =
+  let vfs = Minipy.Vfs.create () in
+  Minipy.Vfs.add_file vfs "numlib.py"
+    "import simrt\n\
+     simrt.cpu_ms(12.0)\n\
+     simrt.alloc_mb(3.0)\n\
+     def dot(xs, ys):\n\
+    \  acc = 0\n\
+    \  for i in range(len(xs)):\n\
+    \    acc += xs[i] * ys[i]\n\
+    \  return acc\n";
+  Minipy.Vfs.add_file vfs "handler.py"
+    "import numlib\n\
+     def handler(event, context):\n\
+    \  n = event.get('n', 4)\n\
+    \  xs = [i for i in range(n)]\n\
+    \  print('dot', n)\n\
+    \  return numlib.dot(xs, xs)\n";
+  Deployment.make ~name:"numlib-sim" ~vfs ~handler_file:"handler.py"
+    ~handler_name:"handler"
+    ~test_cases:[ Deployment.test_case ~name:"t1" "{\"n\": 6}" ]
+
+let record_str (r : Lambda_sim.record) =
+  Printf.sprintf
+    "kind=%s init=%.17g exec=%.17g billed=%.17g mem=%.17g cost=%.17g out=%S res=%s"
+    (Lambda_sim.start_kind_name r.Lambda_sim.kind)
+    r.Lambda_sim.init_ms r.Lambda_sim.exec_ms r.Lambda_sim.billed_ms
+    r.Lambda_sim.peak_memory_mb r.Lambda_sim.cost r.Lambda_sim.stdout
+    (match r.Lambda_sim.outcome with
+     | Lambda_sim.Ok v -> "OK:" ^ Minipy.Value.to_repr v
+     | Lambda_sim.Error e -> "ERR:" ^ e.Minipy.Value.exc_class)
+
+let records =
+  [ Alcotest.test_case "cold and warm records are pinned" `Quick (fun () ->
+        let sim = Lambda_sim.create (numlib_deployment ()) in
+        let invoke now_s =
+          record_str (Lambda_sim.invoke sim ~now_s ~event:"{\"n\": 6}" ())
+        in
+        Alcotest.(check string) "cold record"
+          "kind=cold init=12.0436 exec=75.082399999999993 billed=88 \
+           mem=6.0042495727539062 cost=3.7831990000000002e-07 \
+           out=\"dot 6\\n\" res=OK:55"
+          (invoke 0.0);
+        Alcotest.(check string) "warm record"
+          "kind=warm init=0 exec=75.082399999999993 billed=76 \
+           mem=6.0048751831054688 cost=3.5400354999999998e-07 \
+           out=\"dot 6\\n\" res=OK:55"
+          (invoke 1.0)) ]
+
 let suite =
   [ ("platform.lifecycle", lifecycle); ("platform.phases", phases);
-    ("platform.init_crash", init_crash) ]
+    ("platform.init_crash", init_crash); ("platform.records", records) ]
