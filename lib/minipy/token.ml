@@ -5,20 +5,34 @@ type t =
   | Float of float
   | Str of string
   | Name of string
-  | Keyword of string   (* one of [keywords] below *)
+  | Keyword of string   (* one of the keywords [of_ident] recognises *)
   | Op of string        (* operators and punctuation *)
   | Newline
   | Indent
   | Dedent
   | Eof
 
-let keywords =
-  [ "def"; "class"; "return"; "if"; "elif"; "else"; "while"; "for"; "in";
-    "import"; "from"; "as"; "pass"; "break"; "continue"; "raise"; "try";
-    "except"; "finally"; "and"; "or"; "not"; "True"; "False"; "None";
-    "lambda"; "global"; "del"; "assert"; "with" ]
+(* A string match compiles to a comparison tree, and each keyword token is a
+   static constant, so classifying an identifier allocates nothing beyond the
+   [Name] of a non-keyword. *)
+let of_ident = function
+  | "def" -> Keyword "def" | "class" -> Keyword "class"
+  | "return" -> Keyword "return" | "if" -> Keyword "if"
+  | "elif" -> Keyword "elif" | "else" -> Keyword "else"
+  | "while" -> Keyword "while" | "for" -> Keyword "for"
+  | "in" -> Keyword "in" | "import" -> Keyword "import"
+  | "from" -> Keyword "from" | "as" -> Keyword "as" | "pass" -> Keyword "pass"
+  | "break" -> Keyword "break" | "continue" -> Keyword "continue"
+  | "raise" -> Keyword "raise" | "try" -> Keyword "try"
+  | "except" -> Keyword "except" | "finally" -> Keyword "finally"
+  | "and" -> Keyword "and" | "or" -> Keyword "or" | "not" -> Keyword "not"
+  | "True" -> Keyword "True" | "False" -> Keyword "False"
+  | "None" -> Keyword "None" | "lambda" -> Keyword "lambda"
+  | "global" -> Keyword "global" | "del" -> Keyword "del"
+  | "assert" -> Keyword "assert" | "with" -> Keyword "with"
+  | s -> Name s
 
-let is_keyword s = List.mem s keywords
+let is_keyword s = match of_ident s with Keyword _ -> true | _ -> false
 
 let pp ppf = function
   | Int i -> Fmt.pf ppf "INT(%d)" i

@@ -5,14 +5,17 @@ type t =
   | Float of float
   | Str of string
   | Name of string
-  | Keyword of string  (** one of [keywords] *)
+  | Keyword of string  (** one of the keywords {!of_ident} recognises *)
   | Op of string       (** operators and punctuation *)
   | Newline
   | Indent
   | Dedent
   | Eof
 
-val keywords : string list
+(** The token for an identifier: [Keyword s] when [s] is one of the 30
+    minipy keywords, [Name s] otherwise. *)
+val of_ident : string -> t
+
 val is_keyword : string -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,6 +1,6 @@
 let () =
   Alcotest.run "lambda-trim"
-    (Test_lexer.suite @ Test_parser.suite @ Test_pretty.suite @ Test_interp.suite @ Test_lang_ext.suite @ Test_semantics.suite
+    (Test_lexer.suite @ Test_parser.suite @ Test_frontend.suite @ Test_pretty.suite @ Test_interp.suite @ Test_lang_ext.suite @ Test_semantics.suite
      @ Test_importer.suite @ Test_callgraph.suite @ Test_dd.suite @ Test_dd_variants.suite
      @ Test_attrs.suite @ Test_scoring.suite @ Test_profiler.suite
      @ Test_debloater.suite @ Test_oracle.suite @ Test_pipeline.suite
