@@ -459,7 +459,8 @@ let fleet_cmd =
   in
   let capacity_arg =
     Arg.(value & opt int 0 & info [ "capacity" ] ~docv:"N"
-           ~doc:"Concurrency cap on live instances (default unbounded).")
+           ~doc:"Concurrency cap on live instances; 0 means unbounded \
+                 (default 0).")
   in
   let max_pending_arg =
     Arg.(value & opt int 1024 & info [ "max-pending" ] ~docv:"N"
@@ -573,6 +574,18 @@ let fleet_cmd =
       Printf.eprintf "--retries must be non-negative (got %d)\n" retries;
       exit 2
     end;
+    if not (keep_alive >= 0.0) then begin
+      Printf.eprintf "--keep-alive must be non-negative (got %g)\n" keep_alive;
+      exit 2
+    end;
+    List.iter
+      (fun (name, n) ->
+         if n < 0 then begin
+           Printf.eprintf "--%s must be non-negative (got %d)\n" name n;
+           exit 2
+         end)
+      [ ("max-idle", max_idle); ("capacity", capacity);
+        ("max-pending", max_pending) ];
     if retry_base < 0.0 || retry_cap < retry_base then begin
       Printf.eprintf
         "--retry-base must be non-negative and --retry-cap >= --retry-base \

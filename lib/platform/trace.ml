@@ -10,8 +10,17 @@ type t = {
   arrivals_s : float list;   (* sorted arrival times, seconds *)
 }
 
+(* Generators already produce nondecreasing arrivals; the sort is stable, so
+   skipping it for a sorted list returns the same list. *)
+let rec sorted = function
+  | a :: (b :: _ as rest) -> Float.compare a b <= 0 && sorted rest
+  | [ _ ] | [] -> true
+
 let make ~name arrivals_s =
-  { trace_name = name; arrivals_s = List.sort compare arrivals_s }
+  { trace_name = name;
+    arrivals_s =
+      (if sorted arrivals_s then arrivals_s
+       else List.sort Float.compare arrivals_s) }
 
 let length t = List.length t.arrivals_s
 

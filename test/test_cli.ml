@@ -69,6 +69,25 @@ let argument_cases =
         Alcotest.(check int) "cmdliner parse-error exit code" 124 code;
         Alcotest.(check bool) ("names the option: " ^ err) true
           (contains ~sub:"unknown option '--backend'" err)) ]
+  (* fleet sizing flags: a negative value used to run and print nonsense *)
+  @ List.map
+      (fun (flag, expected) ->
+         Alcotest.test_case ("fleet " ^ flag ^ ": exit 2") `Quick (fun () ->
+             let code, err = run_ltrim [ "fleet"; "resnet"; flag ] in
+             Alcotest.(check int) "usage-error exit code" 2 code;
+             Alcotest.(check bool) ("says why: " ^ err) true
+               (contains ~sub:expected err)))
+      [ ("--keep-alive=-5", "--keep-alive must be non-negative (got -5)");
+        ("--keep-alive=nan", "--keep-alive must be non-negative (got nan)");
+        ("--max-pending=-1", "--max-pending must be non-negative (got -1)");
+        ("--max-idle=-1", "--max-idle must be non-negative (got -1)");
+        ("--capacity=-4", "--capacity must be non-negative (got -4)") ]
+  @ [ Alcotest.test_case "fleet --capacity 0 stays unbounded" `Quick (fun () ->
+        let code, err =
+          run_ltrim
+            [ "fleet"; "markdown"; "--capacity"; "0"; "--duration"; "60" ]
+        in
+        Alcotest.(check int) ("exit 0: " ^ err) 0 code) ]
 
 (* /proc rejects directory creation, so these paths are unwritable even
    when the suite runs as root. *)

@@ -19,6 +19,14 @@ let generators =
         in
         Alcotest.(check (list (float 1e-12))) "sorted"
           (List.sort compare t.Trace.arrivals_s) t.Trace.arrivals_s);
+    Alcotest.test_case "make sorts out-of-order arrivals" `Quick (fun () ->
+        let t = Trace.make ~name:"u" [ 3.0; 1.0; 2.0; 1.0; 0.5 ] in
+        Alcotest.(check (list (float 0.0))) "sorted"
+          [ 0.5; 1.0; 1.0; 2.0; 3.0 ] t.Trace.arrivals_s);
+    Alcotest.test_case "make keeps sorted arrivals as given" `Quick (fun () ->
+        let arrivals = [ 0.0; 0.25; 0.25; 7.0 ] in
+        Alcotest.(check bool) "same list, not a re-sorted copy" true
+          ((Trace.make ~name:"s" arrivals).Trace.arrivals_s == arrivals));
     Alcotest.test_case "bursty produces expected count" `Quick (fun () ->
         let t = Trace.bursty ~seed:3 ~burst_size:5 ~burst_rate_per_s:10.0
             ~idle_gap_s:60.0 ~bursts:4 ~name:"b"
