@@ -82,6 +82,34 @@ let store_tests =
             Alcotest.(check (option string)) "fresh store works"
               (Some "1") (Memo_store.find s "fresh"))) ]
 
+(* A record is only replayed when it is well-formed, not just checksummed:
+   each bad line below carries a correct md5 of everything before its last
+   '|', and it and everything after it are dropped. *)
+let checksummed_malformed_tests =
+  let record payload = payload ^ "|" ^ Digest.to_hex (Digest.string payload) in
+  List.map
+    (fun (name, bad) ->
+       Alcotest.test_case ("checksummed but " ^ name) `Quick (fun () ->
+           let dir = fresh_dir () in
+           write_file
+             (Filename.concat dir Memo_store.file_name)
+             (String.concat "\n"
+                [ Memo_store.magic; record "o|0|a|1"; record bad;
+                  record "o|2|c|3"; "" ]);
+           with_store dir (fun s ->
+               Alcotest.(check int) "loaded" 1 (Memo_store.loaded s);
+               Alcotest.(check int) "truncated" 2 (Memo_store.truncated s);
+               Alcotest.(check (option string)) "valid record" (Some "1")
+                 (Memo_store.find s "a");
+               Alcotest.(check (option string)) "later record dropped" None
+                 (Memo_store.find s "c"))))
+    [ ("a malformed escape", "o|1|b|x\\qy");
+      ("a trailing backslash", "o|1|b|x\\");
+      ("an extra field", "o|1|b|x|y");
+      ("a missing field", "o|1|b");
+      ("the wrong sequence number", "o|7|b|2");
+      ("another record kind", "j|1|b|2") ]
+
 (* Kill-at-any-byte property: truncating the file at an arbitrary point
    yields a valid prefix on reload — entries are recovered in write order,
    every recovered value is exact, and nothing past the cut survives. *)
@@ -481,7 +509,7 @@ let compat_tests =
           (Platform.Deployment.image_digest r.Pipeline.optimized)) ]
 
 let suite =
-  [ ("incremental: memo store", store_tests);
+  [ ("incremental: memo store", store_tests @ checksummed_malformed_tests);
     ("incremental: memo store properties",
      List.map QCheck_alcotest.to_alcotest [ qcheck_truncate; qcheck_escape ]);
     ("incremental: cache capacity and store", cache_tests);
