@@ -294,7 +294,7 @@ let cache_tests =
                  else Filename.get_temp_dir_name ()
                in
                let dir = Filename.concat parent "ltrim-bench-journal" in
-               Trim.Journal.mkdir_p dir;
+               Trim.Record_log.mkdir_p dir;
                dir)
           in
           fun () ->

@@ -553,29 +553,32 @@ let fleet_cmd =
     setup_jobs jobs;
     setup_shards shards;
     with_trace trace @@ fun () ->
-    if rate <= 0.0 then begin
-      Printf.eprintf "--rate must be positive (got %g)\n" rate;
-      exit 2
-    end;
-    if duration < 0.0 then begin
-      Printf.eprintf "--duration must be non-negative (got %g)\n" duration;
-      exit 2
-    end;
+    (* [not (lo <= x <= hi)] rather than [x < lo || x > hi]: NaN fails every
+       comparison, so it is rejected too *)
+    let check ?(strict = false) ?(hi = infinity) ~lo flag what x =
+      if not ((if strict then x > lo else x >= lo) && x <= hi) then begin
+        Printf.eprintf "--%s must be %s (got %g)\n" flag what x;
+        exit 2
+      end
+    in
+    check ~strict:true ~lo:0.0 ~hi:Float.max_float "rate" "positive and finite"
+      rate;
+    check ~lo:0.0 ~hi:Float.max_float "duration" "non-negative and finite"
+      duration;
     List.iter
-      (fun (name, r) ->
-         if not (r >= 0.0 && r <= 1.0) then begin
-           Printf.eprintf "--%s must be in [0, 1] (got %g)\n" name r;
-           exit 2
-         end)
+      (fun (flag, r) -> check ~lo:0.0 ~hi:1.0 flag "in [0, 1]" r)
       [ ("init-failure-rate", init_failure_rate); ("crash-rate", crash_rate);
         ("error-rate", error_rate); ("churn-rate", churn_rate);
-        ("fb-rate", fb_rate) ];
+        ("fb-rate", fb_rate); ("breaker-threshold", breaker_threshold) ];
+    List.iter
+      (fun (flag, x) -> check ~lo:0.0 flag "non-negative" x)
+      ([ ("keep-alive", keep_alive); ("timeout", timeout);
+         ("retry-base", retry_base); ("breaker-cooldown", breaker_cooldown) ]
+       @ Option.to_list (Option.map (fun d -> ("hedge-delay", d)) hedge_delay));
+    check ~lo:retry_base "retry-cap" ">= --retry-base" retry_cap;
+    check ~strict:true ~lo:0.0 "request-timeout" "positive" request_timeout;
     if retries < 0 then begin
       Printf.eprintf "--retries must be non-negative (got %d)\n" retries;
-      exit 2
-    end;
-    if not (keep_alive >= 0.0) then begin
-      Printf.eprintf "--keep-alive must be non-negative (got %g)\n" keep_alive;
       exit 2
     end;
     List.iter
@@ -586,23 +589,6 @@ let fleet_cmd =
          end)
       [ ("max-idle", max_idle); ("capacity", capacity);
         ("max-pending", max_pending) ];
-    if retry_base < 0.0 || retry_cap < retry_base then begin
-      Printf.eprintf
-        "--retry-base must be non-negative and --retry-cap >= --retry-base \
-         (got %g, %g)\n"
-        retry_base retry_cap;
-      exit 2
-    end;
-    if request_timeout <= 0.0 then begin
-      Printf.eprintf "--request-timeout must be positive (got %g)\n"
-        request_timeout;
-      exit 2
-    end;
-    if not (breaker_threshold >= 0.0 && breaker_threshold <= 1.0) then begin
-      Printf.eprintf "--breaker-threshold must be in [0, 1] (got %g)\n"
-        breaker_threshold;
-      exit 2
-    end;
     if breaker_threshold > 0.0 && fb_rate <= 0.0 then begin
       Printf.eprintf
         "--breaker-threshold requires a fallback pool to shed to \
@@ -614,16 +600,6 @@ let fleet_cmd =
         breaker_window;
       exit 2
     end;
-    if breaker_cooldown < 0.0 then begin
-      Printf.eprintf "--breaker-cooldown must be non-negative (got %g)\n"
-        breaker_cooldown;
-      exit 2
-    end;
-    (match hedge_delay with
-     | Some d when d < 0.0 ->
-       Printf.eprintf "--hedge-delay must be non-negative (got %g)\n" d;
-       exit 2
-     | _ -> ());
     if tenants < 1 then begin
       Printf.eprintf "--tenants must be >= 1 (got %d)\n" tenants;
       exit 2
@@ -873,7 +849,7 @@ let experiments_cmd =
     ensure_dir csv;
     let write dir name contents =
       (* atomic: a crash mid-export never leaves a torn result file *)
-      Trim.Journal.write_file_atomic ~path:(Filename.concat dir name) contents
+      Trim.Record_log.write_file_atomic ~path:(Filename.concat dir name) contents
     in
     List.iter
       (fun (e : Experiments.Registry.entry) ->
@@ -937,7 +913,7 @@ let redebloat_cmd =
     with_trace trace @@ fun () ->
     setup_logs verbose;
     let apps = if apps = [] then Workloads.Suite.names else apps in
-    Trim.Journal.mkdir_p state;
+    Trim.Record_log.mkdir_p state;
     let job app =
       let path = Filename.concat state (app ^ ".manifest") in
       let baseline = Trim.Manifest.load ~path in

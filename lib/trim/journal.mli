@@ -1,17 +1,17 @@
-(** Durable DD decision journal: an append-only, per-record-checksummed log
-    of (subset key → oracle verdict) plus a final keep-set completion mark,
-    one file per module search.
+(** Durable DD decision journal: a {!Record_log} of (subset key → oracle
+    verdict) records plus a final keep-set completion mark, one file per
+    module search.
 
     Records are flushed before control returns to DD, so after a crash the
     file holds every verdict the search consumed plus at most one torn
     record at the tail. Reopening with [resume] replays the valid prefix
-    into a lookup table, drops any invalid suffix (repairing the file via
-    write-temp-then-rename), and lets {!Dd.minimize} /
-    {!Dd.minimize_parallel} answer queries from the table — reproducing
-    the uninterrupted run's keep-set and counters bit for bit. A header
-    run-digest binds the file to one search (base image, module, candidate
-    list, backend, job layout); a mismatched header discards the journal
-    rather than replaying stale verdicts.
+    into a lookup table (see {!Record_log} for what is dropped and
+    repaired) and lets {!Dd.minimize} / {!Dd.minimize_parallel} answer
+    queries from the table — reproducing the uninterrupted run's keep-set
+    and counters bit for bit. A header run-digest binds the file to one
+    search (base image, module, candidate list, backend, job layout); a
+    mismatched header discards the journal rather than replaying stale
+    verdicts.
 
     Metrics (in [Obs.Metrics.global]): [trim.journal.appended],
     [trim.journal.replayed], [trim.journal.truncated]. *)
@@ -20,7 +20,9 @@ type t
 
 (** [open_ ~resume ~path ~run_digest ()] opens or creates the journal.
     With [resume = false] (default) — or when the existing header does not
-    match [run_digest] — the file is atomically reset to a bare header. *)
+    match [run_digest] — the file is truncated and a bare header written
+    in place; a crash during that write leaves a torn header, which the
+    next resume reads as foreign and starts over. *)
 val open_ : ?resume:bool -> path:string -> run_digest:string -> unit -> t
 
 (** Replayed verdict for a subset key, if one was recorded. *)
@@ -49,15 +51,6 @@ val truncated : t -> int
 val records : t -> int
 
 val close : t -> unit
-
-(** {1 Atomic file helpers} *)
-
-val mkdir_p : string -> unit
-
-(** Write [contents] via temp-file-plus-rename in [path]'s directory: a
-    crash leaves the old file or the new one, never a torn mix. Creates
-    missing parent directories. *)
-val write_file_atomic : path:string -> string -> unit
 
 (** {1 Per-search spec and process-wide configuration} *)
 

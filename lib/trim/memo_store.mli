@@ -6,10 +6,10 @@
     output can depend on (backend, optimizer variant, effective image
     digest, entry point, test-case inputs) — so a key either denotes
     exactly one observation or is absent; there is nothing to invalidate
-    across revisions. The file format mirrors {!Journal}: a magic header
-    followed by flushed, checksummed records; on open only the valid
-    record prefix is replayed, and any torn or corrupt tail is discarded
-    (and the file atomically repaired), never replayed.
+    across revisions. The file is a {!Record_log} with a bare magic
+    header: on open only the valid record prefix is replayed, and any torn
+    or corrupt tail is discarded (and the file atomically repaired), never
+    replayed.
 
     A store is attached beneath the in-memory {!Oracle.Cache} with
     {!Oracle.Cache.attach_store} (CLI: [--memo-dir DIR]); the cache
@@ -34,8 +34,6 @@ val open_ : dir:string -> t
 
 (** Lookup by exact key. *)
 val find : t -> string -> string option
-
-val mem : t -> string -> bool
 
 (** [add t ~key value] durably records one observation: the record is
     checksummed and flushed before returning. Idempotent — a key already

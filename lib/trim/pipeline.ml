@@ -125,7 +125,7 @@ let journal_spec options (app : Platform.Deployment.t) =
         options.k
     in
     let jdir = Filename.concat dir sub in
-    Journal.mkdir_p jdir;
+    Record_log.mkdir_p jdir;
     Some { Journal.journal_dir = jdir; journal_resume = resume }
 
 (* The DD oracle for this run — hardened (quorum + quarantine) when
@@ -400,7 +400,7 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
        | Some h -> Oracle.Hardened.report_csv h
        | None -> "test,class,events,executions,distinct_outputs\n"
      in
-     Journal.write_file_atomic ~path contents
+     Record_log.write_file_atomic ~path contents
    | None -> ());
   let module_results = List.map (fun (r, _, _) -> r) entries in
   let replayed_modules =

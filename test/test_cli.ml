@@ -69,7 +69,8 @@ let argument_cases =
         Alcotest.(check int) "cmdliner parse-error exit code" 124 code;
         Alcotest.(check bool) ("names the option: " ^ err) true
           (contains ~sub:"unknown option '--backend'" err)) ]
-  (* fleet sizing flags: a negative value used to run and print nonsense *)
+  (* fleet sizing flags: a negative value used to run and print nonsense;
+     a NaN or infinite one ran, hung, or died on an uncaught exception *)
   @ List.map
       (fun (flag, expected) ->
          Alcotest.test_case ("fleet " ^ flag ^ ": exit 2") `Quick (fun () ->
@@ -81,11 +82,32 @@ let argument_cases =
         ("--keep-alive=nan", "--keep-alive must be non-negative (got nan)");
         ("--max-pending=-1", "--max-pending must be non-negative (got -1)");
         ("--max-idle=-1", "--max-idle must be non-negative (got -1)");
-        ("--capacity=-4", "--capacity must be non-negative (got -4)") ]
+        ("--capacity=-4", "--capacity must be non-negative (got -4)");
+        ("--timeout=-5", "--timeout must be non-negative (got -5)");
+        ("--timeout=nan", "--timeout must be non-negative (got nan)");
+        ("--breaker-cooldown=nan",
+         "--breaker-cooldown must be non-negative (got nan)");
+        ("--rate=nan", "--rate must be positive and finite (got nan)");
+        ("--rate=inf", "--rate must be positive and finite (got inf)");
+        ("--duration=nan",
+         "--duration must be non-negative and finite (got nan)");
+        ("--duration=inf",
+         "--duration must be non-negative and finite (got inf)");
+        ("--request-timeout=nan",
+         "--request-timeout must be positive (got nan)");
+        ("--retry-cap=nan", "--retry-cap must be >= --retry-base (got nan)");
+        ("--hedge-delay=nan", "--hedge-delay must be non-negative (got nan)") ]
   @ [ Alcotest.test_case "fleet --capacity 0 stays unbounded" `Quick (fun () ->
         let code, err =
           run_ltrim
             [ "fleet"; "markdown"; "--capacity"; "0"; "--duration"; "60" ]
+        in
+        Alcotest.(check int) ("exit 0: " ^ err) 0 code);
+    Alcotest.test_case "fleet --request-timeout=inf stays valid" `Quick
+      (fun () ->
+        let code, err =
+          run_ltrim
+            [ "fleet"; "markdown"; "--request-timeout=inf"; "--duration"; "60" ]
         in
         Alcotest.(check int) ("exit 0: " ^ err) 0 code) ]
 

@@ -13,7 +13,7 @@ let fresh_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "ltrim-test-journal-%d-%d" (Unix.getpid ()) !n)
     in
-    Trim.Journal.mkdir_p dir;
+    Trim.Record_log.mkdir_p dir;
     dir
 
 let with_journal ?resume path f =
@@ -82,6 +82,27 @@ let test_torn_tail () =
       Alcotest.(check (option bool)) "post-repair append survives" (Some true)
         (Trim.Journal.find j "0,2"))
 
+(* A crash between a record's last byte and its '\n': the record is torn,
+   so it is dropped, and the next append must not land on its line. *)
+let test_cut_final_newline () =
+  let path = Filename.concat (fresh_dir ()) "m.journal" in
+  with_journal path (fun j ->
+      Trim.Journal.append j ~key:"0,1" true;
+      Trim.Journal.append j ~key:"0" false);
+  let s = read_file path in
+  write_file path (String.sub s 0 (String.length s - 1));
+  with_journal ~resume:true path (fun j ->
+      Alcotest.(check int) "one truncated record" 1 (Trim.Journal.truncated j);
+      Alcotest.(check (option bool)) "torn record dropped" None
+        (Trim.Journal.find j "0");
+      Trim.Journal.append j ~key:"0,2" true);
+  with_journal ~resume:true path (fun j ->
+      Alcotest.(check int) "records" 2 (Trim.Journal.records j);
+      Alcotest.(check (option bool)) "complete record kept" (Some true)
+        (Trim.Journal.find j "0,1");
+      Alcotest.(check (option bool)) "post-cut append kept" (Some true)
+        (Trim.Journal.find j "0,2"))
+
 let test_mid_corruption () =
   let path = Filename.concat (fresh_dir ()) "m.journal" in
   with_journal path (fun j ->
@@ -141,6 +162,67 @@ let test_bad_key_rejected () =
       Alcotest.check_raises "pipe in key"
         (Invalid_argument "Journal: record keys must not contain '|' or newlines")
         (fun () -> Trim.Journal.append j ~key:"a|b" true))
+
+(* --- truncate, reopen, append, reopen (QCheck) ------------------------------
+
+   Shared with the memo-store property in test_incremental.ml. A crash cuts
+   a log file anywhere: at a fraction of its length, inside the header, or
+   exactly before the final '\n'. Afterwards the log must hold exactly the
+   records whose lines were '\n'-terminated before the cut. *)
+
+type cut = Fraction of int | In_header of int | Before_final_newline
+
+let arb_cut =
+  QCheck.make
+    ~print:(function
+        | Fraction p -> Printf.sprintf "at %d/1000" p
+        | In_header i -> Printf.sprintf "in the header at %d" i
+        | Before_final_newline -> "before the final newline")
+    QCheck.Gen.(
+      frequency
+        [ (4, map (fun p -> Fraction p) (0 -- 1000));
+          (1, map (fun i -> In_header i) (0 -- 40));
+          (1, return Before_final_newline) ])
+
+(* Cut [contents] as [cut] says; returns the cut text and the number of
+   records whose lines were complete in it. *)
+let apply_cut contents cut =
+  let len = String.length contents in
+  let at =
+    match cut with
+    | Fraction p -> p * len / 1000
+    | In_header i -> min i (String.index contents '\n')
+    | Before_final_newline -> len - 1
+  in
+  let kept = String.sub contents 0 at in
+  let lines = List.length (String.split_on_char '\n' kept) - 1 in
+  (kept, max 0 (lines - 1))
+
+let prop_torn_journal =
+  QCheck.Test.make ~count:60
+    ~name:"journal: truncate, resume, append, resume keeps exactly the \
+           complete records"
+    QCheck.(pair (list_of_size Gen.(1 -- 8) bool) arb_cut)
+    (fun (verdicts, cut) ->
+       let path = Filename.concat (fresh_dir ()) "torn.journal" in
+       let keys = List.mapi (fun i _ -> string_of_int i) verdicts in
+       with_journal path (fun j ->
+           List.iter2 (fun key v -> Trim.Journal.append j ~key v) keys verdicts;
+           Trim.Journal.append_keepset j "done");
+       let kept, n = apply_cut (read_file path) cut in
+       write_file path kept;
+       with_journal ~resume:true path (fun j ->
+           Trim.Journal.append j ~key:"new" true);
+       with_journal ~resume:true path (fun j ->
+           Trim.Journal.records j = n + 1
+           && List.for_all2
+                (fun (i, key) v ->
+                   Trim.Journal.find j key = if i < n then Some v else None)
+                (List.mapi (fun i k -> (i, k)) keys)
+                verdicts
+           && Trim.Journal.final_keepset j
+              = (if n > List.length verdicts then Some "done" else None)
+           && Trim.Journal.find j "new" = Some true))
 
 (* --- kill/resume bit-identity (QCheck) ------------------------------------ *)
 
@@ -248,6 +330,8 @@ let suite =
           test_no_resume_resets;
         Alcotest.test_case "torn tail dropped and repaired" `Quick
           test_torn_tail;
+        Alcotest.test_case "cut before the final newline: dropped, repaired"
+          `Quick test_cut_final_newline;
         Alcotest.test_case "mid-file corruption keeps valid prefix" `Quick
           test_mid_corruption;
         Alcotest.test_case "chaos corrupt_last_record recovers" `Quick
@@ -261,5 +345,5 @@ let suite =
     ( "durability.resume",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)
-        [ prop_resume_sequential; prop_resume_parallel 1;
+        [ prop_torn_journal; prop_resume_sequential; prop_resume_parallel 1;
           prop_resume_parallel 4 ] ) ]

@@ -13,7 +13,7 @@ let fresh_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "ltrim-test-memo-%d-%d" (Unix.getpid ()) !n)
     in
-    Journal.mkdir_p dir;
+    Record_log.mkdir_p dir;
     dir
 
 let read_file path =
@@ -69,6 +69,32 @@ let store_tests =
         with_store dir (fun s ->
             Alcotest.(check int) "repaired reopen" 3 (Memo_store.loaded s);
             Alcotest.(check int) "clean" 0 (Memo_store.truncated s)));
+    (* a crash between a record's last byte and its '\n': the record is
+       torn, so it is dropped, and the next add must not land on its line *)
+    Alcotest.test_case "cut before the final newline: dropped, repaired"
+      `Quick (fun () ->
+        let dir = fresh_dir () in
+        let path =
+          with_store dir (fun s ->
+              Memo_store.add s ~key:"a" "1";
+              Memo_store.add s ~key:"b" "2";
+              Memo_store.path s)
+        in
+        let s = read_file path in
+        write_file path (String.sub s 0 (String.length s - 1));
+        with_store dir (fun s ->
+            Alcotest.(check int) "prefix loaded" 1 (Memo_store.loaded s);
+            Alcotest.(check int) "torn record truncated" 1
+              (Memo_store.truncated s);
+            Memo_store.add s ~key:"c" "3");
+        with_store dir (fun s ->
+            Alcotest.(check int) "reopen" 2 (Memo_store.loaded s);
+            Alcotest.(check (option string)) "a" (Some "1")
+              (Memo_store.find s "a");
+            Alcotest.(check (option string)) "torn b" None
+              (Memo_store.find s "b");
+            Alcotest.(check (option string)) "c" (Some "3")
+              (Memo_store.find s "c")));
     Alcotest.test_case "foreign header starts fresh" `Quick (fun () ->
         let dir = fresh_dir () in
         let path = Filename.concat dir Memo_store.file_name in
@@ -110,17 +136,17 @@ let checksummed_malformed_tests =
       ("the wrong sequence number", "o|7|b|2");
       ("another record kind", "j|1|b|2") ]
 
-(* Kill-at-any-byte property: truncating the file at an arbitrary point
-   yields a valid prefix on reload — entries are recovered in write order,
-   every recovered value is exact, and nothing past the cut survives. *)
+(* Kill-at-any-byte property: after a cut anywhere, a reopen, one append
+   and a second reopen, the store holds exactly the records whose lines
+   were complete before the cut — each value exact — plus the new one. *)
 let qcheck_truncate =
   let gen_values =
     QCheck.(list_of_size Gen.(1 -- 8) (string_gen_of_size Gen.(0 -- 12) Gen.char))
   in
-  QCheck.Test.make ~count:60 ~name:"memo store: any truncation is a valid prefix"
-    QCheck.(pair gen_values (0 -- 1000))
-    (fun (values, permille) ->
-      let frac = float_of_int permille /. 1000.0 in
+  QCheck.Test.make ~count:60
+    ~name:"memo store: any truncation is a valid prefix"
+    QCheck.(pair gen_values Test_durability.arb_cut)
+    (fun (values, cut) ->
       let dir = fresh_dir () in
       let keys = List.mapi (fun i _ -> Printf.sprintf "key%d" i) values in
       let path =
@@ -128,27 +154,17 @@ let qcheck_truncate =
             List.iter2 (fun k v -> Memo_store.add s ~key:k v) keys values;
             Memo_store.path s)
       in
-      let contents = read_file path in
-      let cut = int_of_float (frac *. float_of_int (String.length contents)) in
-      write_file path (String.sub contents 0 cut);
+      let kept, n = Test_durability.apply_cut (read_file path) cut in
+      write_file path kept;
+      with_store dir (fun s -> Memo_store.add s ~key:"post-crash" "ok");
       with_store dir (fun s ->
-          let n = Memo_store.loaded s in
-          (* a prefix: the first n entries exactly, nothing later *)
-          List.iteri
-            (fun i (k, v) ->
-               match Memo_store.find s k with
-               | Some v' ->
-                 if i >= n then
-                   QCheck.Test.fail_reportf "entry %d past prefix %d" i n;
-                 if not (String.equal v v') then
-                   QCheck.Test.fail_reportf "entry %d corrupted" i
-               | None ->
-                 if i < n then
-                   QCheck.Test.fail_reportf "entry %d missing from prefix" i)
-            (List.combine keys values);
-          (* still appendable after any cut *)
-          Memo_store.add s ~key:"post-crash" "ok";
-          Memo_store.find s "post-crash" = Some "ok"))
+          Memo_store.loaded s = n + 1
+          && List.for_all2
+               (fun (i, k) v ->
+                  Memo_store.find s k = if i < n then Some v else None)
+               (List.mapi (fun i k -> (i, k)) keys)
+               values
+          && Memo_store.find s "post-crash" = Some "ok"))
 
 let qcheck_escape =
   QCheck.Test.make ~count:200 ~name:"memo store: escape round-trips"

@@ -303,7 +303,7 @@ let key_tests =
           Filename.concat (Filename.get_temp_dir_name ())
             (Printf.sprintf "ltrim-lazy-journal-%d" (Unix.getpid ()))
         in
-        Trim.Journal.mkdir_p dir;
+        Trim.Record_log.mkdir_p dir;
         let path = Filename.concat dir "tinylib.journal" in
         let digest d =
           Trim.Debloater.journal_run_digest d ~module_name:"tinylib"
